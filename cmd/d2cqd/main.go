@@ -6,7 +6,7 @@
 // Usage:
 //
 //	d2cqd [-addr 127.0.0.1:8344] [-db file] [-max-batch 256] [-max-latency 25ms] [-buffer 16] [-parallelism n]
-//	      [-shards n] [-data-dir dir] [-fsync always|off|duration] [-checkpoint-every 64]
+//	      [-data-dir dir] [-fsync always|off|duration] [-checkpoint-every 64]
 //	      [-listen-wire host:port] [-auth-token T]
 //
 // With -listen-wire the daemon also serves the binary wire protocol
@@ -23,12 +23,8 @@
 // the durability/latency trade-off: "always" fsyncs per flush, a duration
 // ("100ms") fsyncs on that interval, "off" leaves flushing to the OS.
 //
-// With -shards N > 1 the daemon serves a live.ShardedStore: N independent
-// store shards each own the relations hashing to them, a router splits
-// every update by owning shard and fans flushes out in parallel, and all
-// endpoints route through it unchanged (per-shard stats nest under "shard"
-// in /stats). In durable mode each shard logs under data-dir/shard-<i>, so
-// a restart must use the same -shards value.
+// Request bodies of POST /query and POST /update are capped at
+// maxBodyBytes (16 MiB); a larger body is answered with 413.
 //
 // Endpoints:
 //
@@ -69,7 +65,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -113,7 +108,6 @@ func run(args []string, out io.Writer) error {
 	maxLatency := fs.Duration("max-latency", 0, "flush the coalesced batch at the latest this long after the first pending tuple (0: default 25ms)")
 	buffer := fs.Int("buffer", 0, "per-query broadcast ring capacity before slow watchers drop (0: default 16)")
 	parallelism := fs.Int("parallelism", 0, "engine worker pool for evaluation passes (0/1: sequential, -1: one per CPU)")
-	shards := fs.Int("shards", 1, "shard the live store across this many stores behind a router (1: single store)")
 	dataDir := fs.String("data-dir", "", "durable mode: write-ahead log + checkpoints under this directory; restarts resume the pre-crash state")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always (per flush), off, or an interval duration like 100ms")
 	ckptEvery := fs.Int("checkpoint-every", 0, "flushes between snapshot checkpoints in durable mode (0: default 64)")
@@ -137,10 +131,7 @@ func run(args []string, out io.Writer) error {
 		opts = append(opts, engine.WithParallelism(*parallelism))
 	}
 	cfg := live.Config{MaxBatch: *maxBatch, MaxLatency: *maxLatency, Buffer: *buffer}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
-	}
-	var store live.Service
+	var store *live.Store
 	var err error
 	if *dataDir != "" {
 		if *dbPath != "" {
@@ -152,46 +143,22 @@ func run(args []string, out io.Writer) error {
 		if err2 != nil {
 			return err2
 		}
-		if *shards > 1 {
-			backends := make([]wal.Backend, *shards)
-			for i := range backends {
-				if backends[i], err = wal.NewFS(filepath.Join(*dataDir, fmt.Sprintf("shard-%d", i))); err != nil {
-					return err
-				}
-			}
-			store, err = live.OpenSharded(context.Background(), engine.NewEngine(opts...), live.DurableShardedConfig{
-				ShardedConfig:   live.ShardedConfig{Config: cfg, Shards: *shards},
-				Backends:        backends,
-				SyncMode:        mode,
-				SyncInterval:    interval,
-				CheckpointEvery: *ckptEvery,
-			})
-		} else {
-			var backend wal.Backend
-			if backend, err = wal.NewFS(*dataDir); err != nil {
-				return err
-			}
-			store, err = live.Open(context.Background(), engine.NewEngine(opts...), live.DurableConfig{
-				Config:          cfg,
-				Backend:         backend,
-				SyncMode:        mode,
-				SyncInterval:    interval,
-				CheckpointEvery: *ckptEvery,
-			})
-		}
-		if err != nil {
+		var backend wal.Backend
+		if backend, err = wal.NewFS(*dataDir); err != nil {
 			return err
 		}
+		store, err = live.Open(context.Background(), engine.NewEngine(opts...), live.DurableConfig{
+			Config:          cfg,
+			Backend:         backend,
+			SyncMode:        mode,
+			SyncInterval:    interval,
+			CheckpointEvery: *ckptEvery,
+		})
 	} else {
-		if *shards > 1 {
-			store, err = live.NewShardedStore(context.Background(), engine.NewEngine(opts...), db,
-				live.ShardedConfig{Config: cfg, Shards: *shards})
-		} else {
-			store, err = live.NewStore(context.Background(), engine.NewEngine(opts...), db, cfg)
-		}
-		if err != nil {
-			return err
-		}
+		store, err = live.NewStore(context.Background(), engine.NewEngine(opts...), db, cfg)
+	}
+	if err != nil {
+		return err
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -251,20 +218,19 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// server routes the HTTP API onto one live.Service — a single store or a
-// sharded router, transparently.
+// server routes the HTTP API onto one live.Store.
 type server struct {
-	store live.Service
+	store *live.Store
 	token string
 	mux   *http.ServeMux
 }
 
 // newServer returns the daemon's HTTP handler over the given store — the
 // seam the integration tests drive without a process boundary.
-func newServer(store live.Service) http.Handler { return newAuthServer(store, "") }
+func newServer(store *live.Store) http.Handler { return newAuthServer(store, "") }
 
 // newAuthServer is newServer plus a bearer token guarding every endpoint.
-func newAuthServer(store live.Service, token string) http.Handler {
+func newAuthServer(store *live.Store, token string) http.Handler {
 	s := &server{store: store, token: token, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/update", s.handleUpdate)
@@ -295,6 +261,29 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps the request body of POST /query and POST /update, so
+// one client cannot make the daemon buffer and decode an unbounded document.
+// It sits far above any real request: a 10,000-tuple update is well under
+// a megabyte of JSON.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
+// answering 400 for malformed JSON and 413 for an oversized body. It reports
+// whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, err)
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -322,8 +311,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Query == "" {
@@ -381,8 +369,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	delta := &storage.Delta{Insert: req.Insert, Delete: req.Delete}
@@ -557,5 +544,5 @@ func (s *server) handleSolutions(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.store.ServiceStats())
+	writeJSON(w, s.store.Stats())
 }

@@ -244,6 +244,11 @@ func TestDaemonErrors(t *testing.T) {
 			r, _ := http.Post(ts.URL+"/update", "application/json", strings.NewReader("{"))
 			return r
 		}},
+		{"update-too-large", http.StatusRequestEntityTooLarge, func() *http.Response {
+			body := `{"insert":{"R":[["` + strings.Repeat("a", maxBodyBytes) + `"]]}}`
+			r, _ := http.Post(ts.URL+"/update", "application/json", strings.NewReader(body))
+			return r
+		}},
 		{"update-sync-arity", http.StatusBadRequest, func() *http.Response {
 			postJSON(t, ts.URL+"/query", map[string]any{"name": "q", "query": "R(x,y)"})
 			r, _ := postJSON(t, ts.URL+"/update?sync=1", map[string]any{

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -69,9 +71,10 @@ func doAuthed(t *testing.T, method, url, token string) *http.Response {
 }
 
 // TestHTTPAuth: with -auth-token set, every endpoint answers 401 to a
-// missing or wrong bearer token and serves normally with the right one.
+// missing or wrong bearer token and serves normally with the right one —
+// GET /stats with the same document the wire STATS frame carries.
 func TestHTTPAuth(t *testing.T) {
-	_, ts, _ := authedServer(t, "hunter2")
+	_, ts, wireAddr := authedServer(t, "hunter2")
 	endpoints := []struct {
 		method, path string
 	}{
@@ -99,6 +102,64 @@ func TestHTTPAuth(t *testing.T) {
 	}
 	if got := doAuthed(t, http.MethodGet, ts.URL+"/stats", "hunter2").StatusCode; got != http.StatusOK {
 		t.Fatalf("authorized /stats = %d, want 200", got)
+	}
+
+	// Both protocols report the store's stats as the same JSON document:
+	// GET /stats is live.Stats, and wire STATS nests it under "store". A
+	// credit-gated wire watch makes the optional backpressure section appear.
+	ctx := context.Background()
+	c, err := wire.Dial(wireAddr, wire.ClientOptions{Token: "hunter2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Watch(ctx, "q1", wire.WatchOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Authorization", "Bearer hunter2")
+	hresp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var httpStats map[string]any
+	err = json.NewDecoder(hresp.Body).Decode(&httpStats)
+	hresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wireDoc struct {
+		Store map[string]any `json:"store"`
+	}
+	if err := json.Unmarshal(raw, &wireDoc); err != nil {
+		t.Fatal(err)
+	}
+	httpKeys, wireKeys := jsonKeys(httpStats, ""), jsonKeys(wireDoc.Store, "")
+	if !reflect.DeepEqual(httpKeys, wireKeys) {
+		t.Fatalf("stats fields differ:\n  http: %v\n  wire: %v", httpKeys, wireKeys)
+	}
+	want := []string{"backpressure", "db", "deltas_submitted", "dropped", "engine", "flush",
+		"flush_errors", "flushed_tuples", "flushes", "notifications", "pending_tuples",
+		"queries", "subscribers", "tuples_submitted", "version"}
+	var top []string
+	for k := range httpStats {
+		top = append(top, k)
+	}
+	sort.Strings(top)
+	if !reflect.DeepEqual(top, want) {
+		t.Fatalf("GET /stats top-level fields = %v, want %v", top, want)
+	}
+	for _, key := range []string{"version", "queries", "subscribers", "flushes", "db"} {
+		if !reflect.DeepEqual(httpStats[key], wireDoc.Store[key]) {
+			t.Errorf("stats %q: http %v, wire %v", key, httpStats[key], wireDoc.Store[key])
+		}
 	}
 }
 
@@ -262,4 +323,18 @@ func TestSSEWireDifferential(t *testing.T) {
 			t.Fatalf("no SSE change event %d within 5s", k)
 		}
 	}
+}
+
+// jsonKeys lists the dotted paths of every object field in a decoded JSON
+// document, sorted.
+func jsonKeys(doc map[string]any, prefix string) []string {
+	var keys []string
+	for k, v := range doc {
+		keys = append(keys, prefix+k)
+		if sub, ok := v.(map[string]any); ok {
+			keys = append(keys, jsonKeys(sub, prefix+k+".")...)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }

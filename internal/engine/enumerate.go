@@ -1,50 +1,6 @@
 package engine
 
-import (
-	"context"
-	"sort"
-
-	"d2cq/internal/decomp"
-)
-
-// EnumerateGHD lists all solutions of the full CQ by streaming the fully
-// reduced node relations along the given decomposition tree. Output columns
-// are the query's variables in sorted order; rows are sorted.
-//
-// Deprecated: prepare the query once with Engine.Prepare and stream with
-// PreparedQuery.Enumerate (or materialise with EnumerateAll).
-func EnumerateGHD(inst *Instance, d *decomp.GHD) (*Relation, error) {
-	vars := inst.Query.Vars()
-	if len(inst.Query.Atoms) == 0 || d.Nodes() == 0 {
-		out := NewRelation(vars...)
-		if groundSat(inst) {
-			out.AddEmpty()
-		}
-		return out, nil
-	}
-	p, err := NewPlan(inst.Query, d)
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	r, err := newRun(ctx, p, inst, defaultEngine.par())
-	if err != nil {
-		return nil, err
-	}
-	if err := r.fullReduce(ctx); err != nil {
-		return nil, err
-	}
-	out := NewRelation(vars...)
-	err = r.enumerate(ctx, defaultEngine.ordered(), func(row []Value) bool {
-		out.Add(row...)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.SortForDisplay()
-	return out, nil
-}
+import "sort"
 
 // EqualRelations reports whether two relations over the same column sets
 // contain the same tuples after normalising the value space through the two

@@ -10,7 +10,7 @@ import (
 	"d2cq/internal/decomp"
 )
 
-func TestEnumerateGHDMatchesNaive(t *testing.T) {
+func TestEnumerateAllMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	eng := NewEngine()
 	for trial := 0; trial < 40; trial++ {

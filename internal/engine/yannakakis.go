@@ -27,56 +27,6 @@ func preparedFor(q cq.Query, opts *EvalOptions) (*PreparedQuery, error) {
 	return defaultEngine.Prepare(context.Background(), q)
 }
 
-// BCQGHD decides q(D) ≠ ∅ by a bottom-up Yannakakis pass over the given
-// decomposition: semijoin every parent with its children in topological
-// order; the query is satisfiable iff no node relation empties out.
-//
-// Deprecated: prepare the query once with Engine.Prepare (passing the
-// decomposition via EvalOptions when needed) and call PreparedQuery.Bool.
-func BCQGHD(inst *Instance, d *decomp.GHD) (bool, error) {
-	if len(inst.Query.Atoms) == 0 {
-		return true, nil
-	}
-	if d.Nodes() == 0 {
-		return groundSat(inst), nil
-	}
-	p, err := NewPlan(inst.Query, d)
-	if err != nil {
-		return false, err
-	}
-	r, err := newRun(context.Background(), p, inst, defaultEngine.par())
-	if err != nil {
-		return false, err
-	}
-	return r.bool_(context.Background())
-}
-
-// CountGHD computes |q(D)| for a full CQ by dynamic programming over the
-// given decomposition (Pichler & Skritek, Proposition 4.14).
-//
-// Deprecated: prepare the query once with Engine.Prepare and call
-// PreparedQuery.Count.
-func CountGHD(inst *Instance, d *decomp.GHD) (int64, error) {
-	if len(inst.Query.Atoms) == 0 {
-		return 1, nil
-	}
-	if d.Nodes() == 0 {
-		if groundSat(inst) {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	p, err := NewPlan(inst.Query, d)
-	if err != nil {
-		return 0, err
-	}
-	r, err := newRun(context.Background(), p, inst, defaultEngine.par())
-	if err != nil {
-		return 0, err
-	}
-	return r.count(context.Background())
-}
-
 // EvalOptions selects a decomposition strategy for the free functions.
 type EvalOptions struct {
 	// Decomp supplies a decomposition; if nil, one is computed

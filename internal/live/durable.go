@@ -133,8 +133,7 @@ func (d *durability) appendDelta(version uint64, batch *storage.Delta) error {
 	payload := make([]byte, 8+len(enc))
 	binary.LittleEndian.PutUint64(payload, version)
 	copy(payload[8:], enc)
-	_, err := d.log.Append(recDelta, payload)
-	return err
+	return d.appendRecord(recDelta, payload)
 }
 
 func decodeDeltaRecord(payload []byte) (uint64, *storage.Delta, error) {
@@ -155,8 +154,26 @@ func (d *durability) appendQuery(name, src string) error {
 	binary.LittleEndian.PutUint32(payload, uint32(len(name)))
 	copy(payload[4:], name)
 	copy(payload[4+len(name):], src)
-	_, err := d.log.Append(recQuery, payload)
-	return err
+	return d.appendRecord(recQuery, payload)
+}
+
+// appendRecord writes one record, surfacing a failure in the durability stats as
+// well as to the caller. A failed write or fsync poisons the log
+// (wal.ErrPoisoned), so every later append fails the same way and the store
+// stops committing instead of logging a batch twice.
+func (d *durability) appendRecord(typ byte, payload []byte) error {
+	if _, err := d.log.Append(typ, payload); err != nil {
+		d.setError(err)
+		return err
+	}
+	return nil
+}
+
+// setError records err as the durability section's last error.
+func (d *durability) setError(err error) {
+	d.cmu.Lock()
+	d.lastError = err.Error()
+	d.cmu.Unlock()
 }
 
 func decodeQueryRecord(payload []byte) (string, string, error) {
@@ -184,9 +201,7 @@ func (d *durability) maybeCheckpoint(s *Store) {
 		return
 	}
 	if err := d.checkpoint(s); err != nil {
-		d.cmu.Lock()
-		d.lastError = err.Error()
-		d.cmu.Unlock()
+		d.setError(err)
 	}
 }
 

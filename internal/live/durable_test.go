@@ -3,11 +3,15 @@ package live
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -426,5 +430,111 @@ func TestWatchFromWindow(t *testing.T) {
 	}
 	if resumed {
 		t.Fatal("WatchFrom resumed on a store without history")
+	}
+}
+
+// faultyBackend is a wal.Mem whose segment writers fail one Sync on demand.
+type faultyBackend struct {
+	*wal.Mem
+	failNextSync atomic.Bool
+}
+
+func (b *faultyBackend) CreateSegment(start uint64) (wal.SegmentWriter, error) {
+	w, err := b.Mem.CreateSegment(start)
+	if err != nil {
+		return nil, err
+	}
+	return faultySegment{SegmentWriter: w, b: b}, nil
+}
+
+type faultySegment struct {
+	wal.SegmentWriter
+	b *faultyBackend
+}
+
+func (s faultySegment) Sync() error {
+	if s.b.failNextSync.CompareAndSwap(true, false) {
+		return errors.New("injected fsync failure")
+	}
+	return s.SegmentWriter.Sync()
+}
+
+// TestFailedFsyncPoisonsLog: one failed fsync under SyncAlways makes the
+// store fail-stop. The flush that hit it and every later flush fail with
+// wal.ErrPoisoned, the version stops advancing, the error surfaces in the
+// durability stats, and the log never holds two records for one version —
+// re-logging the re-queued batch after the failure would have written one.
+func TestFailedFsyncPoisonsLog(t *testing.T) {
+	ctx := context.Background()
+	backend := &faultyBackend{Mem: wal.NewMem()}
+	cfg := durableConfig(backend)
+	cfg.SyncMode = wal.SyncAlways
+	s, err := Open(ctx, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register(ctx, "paths", mustQuery(t, "R(x,y), S(y,z)")); err != nil {
+		t.Fatal(err)
+	}
+	submit := func(k int) {
+		t.Helper()
+		d := storage.NewDelta().Add("R", fmt.Sprint("a", k), fmt.Sprint("b", k)).Add("S", fmt.Sprint("b", k), "c")
+		if err := s.Submit(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(1)
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	acked := s.Version()
+
+	backend.failNextSync.Store(true)
+	submit(2)
+	if err := s.Flush(ctx); !errors.Is(err, wal.ErrPoisoned) {
+		t.Fatalf("flush over a failed fsync = %v, want wal.ErrPoisoned", err)
+	}
+	// The batch was re-queued; retrying it, and flushing more, must not log
+	// anything past the failure.
+	for k := 3; k <= 4; k++ {
+		if err := s.Flush(ctx); !errors.Is(err, wal.ErrPoisoned) {
+			t.Fatalf("flush %d after the failure = %v, want wal.ErrPoisoned", k, err)
+		}
+		submit(k)
+	}
+	if err := s.Register(ctx, "more", mustQuery(t, "R(x,y)")); !errors.Is(err, wal.ErrPoisoned) {
+		t.Fatalf("register after the failure = %v, want wal.ErrPoisoned", err)
+	}
+	if v := s.Version(); v != acked {
+		t.Fatalf("version %d after the failure, want %d", v, acked)
+	}
+	st := s.Stats()
+	if st.Durability == nil || !strings.Contains(st.Durability.LastError, "injected fsync failure") {
+		t.Fatalf("durability stats do not report the fsync failure: %+v", st.Durability)
+	}
+	if st.FlushErrors < 3 {
+		t.Fatalf("flush errors = %d, want >= 3", st.FlushErrors)
+	}
+	s.Close()
+
+	seen := map[uint64]bool{}
+	if err := wal.Replay(backend.Mem, 0, func(r wal.Record) error {
+		if r.Type != recDelta {
+			return nil
+		}
+		v, _, err := decodeDeltaRecord(r.Payload)
+		if err != nil {
+			return err
+		}
+		if seen[v] {
+			t.Errorf("LSN %d logs version %d a second time", r.LSN, v)
+		}
+		seen[v] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !seen[acked] {
+		t.Fatalf("acknowledged version %d missing from the log", acked)
 	}
 }

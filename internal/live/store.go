@@ -529,35 +529,22 @@ func (s *Store) Flush(ctx context.Context) error {
 	return s.flushSerialized(ctx)
 }
 
-// flushSerialized is flushSerializedAt with the store's own version
-// sequencing (each flush commits at version+1).
+// flushSerialized runs one take → stage → WAL append → commit cycle,
+// committing at version+1. The caller holds flushMu; mu is taken only for
+// the take and commit steps (and the error bookkeeping), never across engine
+// work.
 func (s *Store) flushSerialized(ctx context.Context) error {
-	_, err := s.flushSerializedAt(ctx, 0)
-	return err
-}
-
-// flushSerializedAt runs one take → stage → WAL append → commit cycle,
-// committing at the given version (0 means self-sequenced: version+1). A
-// sharding router drives its shards with explicit versions so one router
-// flush round commits at one version on every shard it touches; the version
-// must be at least the store's current version. The caller holds flushMu;
-// mu is taken only for the take and commit steps (and the error
-// bookkeeping), never across engine work. Reports whether a non-empty batch
-// was committed.
-func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, error) {
 	t0 := time.Now()
 	s.mu.Lock()
 	if s.pending.Empty() {
 		s.mu.Unlock()
-		return false, nil
+		return nil
 	}
 	batch := s.pending.Take()
 	batchSince := s.pendingSince
 	s.pendingSince = time.Time{}
 	s.mu.Unlock()
-	if version == 0 {
-		version = s.version + 1 // version is stable under flushMu
-	}
+	version := s.version + 1 // version is stable under flushMu
 	takeHold := time.Since(t0)
 	fail := func(err error) error {
 		s.mu.Lock()
@@ -621,7 +608,7 @@ func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, er
 	st, err := s.stage(ctx, batch, version)
 	stageDur := time.Since(stageStart)
 	if err != nil {
-		return false, stageFail(err)
+		return stageFail(err)
 	}
 	// Log-then-commit: once the batch is staged (so it can no longer fail),
 	// persist it before any subscriber can observe the new version. Only
@@ -633,7 +620,7 @@ func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, er
 	if s.dur != nil {
 		walStart := time.Now()
 		if err := s.dur.appendDelta(st.version, batch); err != nil {
-			return false, restore(err)
+			return restore(err)
 		}
 		walDur = time.Since(walStart)
 	}
@@ -666,49 +653,14 @@ func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, er
 	if s.dur != nil {
 		s.dur.maybeCheckpoint(s)
 	}
-	return true, nil
+	return nil
 }
 
-// flushAs is Flush with a router-assigned version: a ShardedStore drives
-// every shard's flushes itself, so all shards a round touches commit at the
-// same router-issued version. Reports whether a non-empty batch committed.
-func (s *Store) flushAs(ctx context.Context, version uint64) (bool, error) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	s.mu.Unlock()
-	return s.flushSerializedAt(ctx, version)
-}
-
-// validateDelta checks a delta against the same rules Submit enforces,
-// without enqueueing it — the first phase of the router's all-or-nothing
-// cross-shard submit.
-func (s *Store) validateDelta(delta *storage.Delta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.validateLocked(delta)
-}
-
-// pendingSize returns the coalesced pending batch's current tuple count.
-func (s *Store) pendingSize() int {
+// PendingTuples returns the coalesced pending batch's tuple count.
+func (s *Store) PendingTuples() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pending.Size()
-}
-
-// snapshotCDB returns the current committed snapshot — the router reads
-// relation sizes (query pinning) and tuples (cross-shard backfill) from it.
-func (s *Store) snapshotCDB() *engine.CompiledDB {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cdb
 }
 
 // staged is one query's next state, computed against the candidate snapshot

@@ -253,8 +253,6 @@ func (db *DB) Relations() []string {
 
 // RelationTuples returns the named relation's tuples decoded back to
 // constant strings, in global row order; nil when the relation is absent.
-// The sharded live router uses it to replicate a relation into the shard a
-// cross-shard query is pinned to.
 func (db *DB) RelationTuples(name string) [][]string {
 	t := db.tables[name]
 	if t == nil {

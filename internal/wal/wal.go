@@ -71,6 +71,14 @@ const (
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
+// ErrPoisoned wraps the first write or sync error a Log hit. After such an
+// error the log is fail-stop: what reached stable storage is unknown (a
+// failed fsync may have dropped the dirty pages, a failed write may have
+// left part of a frame), so every later Append, Sync and WriteCheckpoint
+// returns that first error, wrapped in ErrPoisoned, instead of writing past
+// it. Recovery reopens the backend, which rescans for the last valid record.
+var ErrPoisoned = errors.New("wal: log poisoned by an earlier I/O error")
+
 // Log is the write-ahead log. All methods are safe for concurrent use.
 type Log struct {
 	backend Backend
@@ -82,6 +90,7 @@ type Log struct {
 	curLen  int64
 	dirty   bool // unsynced appends on cur
 	closed  bool
+	err     error // the first write or sync error; set once, see ErrPoisoned
 
 	stopSync chan struct{}
 	syncDone chan struct{}
@@ -210,13 +219,35 @@ func (l *Log) openSegmentLocked() error {
 	return nil
 }
 
+// usableLocked reports why the log cannot take writes: closed, or poisoned
+// by an earlier I/O error.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.err != nil {
+		return fmt.Errorf("%w: %w", ErrPoisoned, l.err)
+	}
+	return nil
+}
+
+// poisonLocked records err as the log's first I/O error and returns it
+// wrapped in ErrPoisoned.
+func (l *Log) poisonLocked(err error) error {
+	if l.err == nil {
+		l.err = err
+	}
+	return l.usableLocked()
+}
+
 // Append writes one record and returns its LSN. Under SyncAlways the record
-// is on stable storage when Append returns.
+// is on stable storage when Append returns. A write or sync error poisons
+// the log (see ErrPoisoned).
 func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
+	if err := l.usableLocked(); err != nil {
+		return 0, err
 	}
 	lsn := l.nextLSN
 	frame := l.encodeFrame(typ, lsn, payload)
@@ -226,7 +257,7 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 		}
 	}
 	if _, err := l.cur.Write(frame); err != nil {
-		return 0, err
+		return 0, l.poisonLocked(err)
 	}
 	l.curLen += int64(len(frame))
 	l.nextLSN++
@@ -256,32 +287,40 @@ func (l *Log) encodeFrame(typ byte, lsn uint64, payload []byte) []byte {
 }
 
 // rotateLocked seals the active segment (final sync) and opens the next one.
+// Any failure poisons the log: the active segment is then in an unknown
+// state.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
 	if err := l.cur.Close(); err != nil {
-		return err
+		return l.poisonLocked(err)
 	}
-	return l.openSegmentLocked()
+	if err := l.openSegmentLocked(); err != nil {
+		return l.poisonLocked(err)
+	}
+	return nil
 }
 
 // Sync forces unsynced appends to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	return l.syncLocked()
 }
 
+// syncLocked fsyncs the active segment if it has unsynced appends. A failed
+// fsync poisons the log: the kernel may already have dropped the dirty
+// pages, so retrying it could report success for data that never landed.
 func (l *Log) syncLocked() error {
 	if !l.dirty {
 		return nil
 	}
 	if err := l.cur.Sync(); err != nil {
-		return err
+		return l.poisonLocked(err)
 	}
 	l.dirty = false
 	return nil
@@ -295,8 +334,8 @@ func (l *Log) syncLoop() {
 		select {
 		case <-t.C:
 			l.mu.Lock()
-			if !l.closed {
-				l.syncLocked() // best effort; next Append surfaces a stuck disk
+			if l.usableLocked() == nil {
+				l.syncLocked() // a failure poisons the log; the next Append reports it
 			}
 			l.mu.Unlock()
 		case <-l.stopSync:
@@ -310,9 +349,9 @@ func (l *Log) syncLoop() {
 // are unreachable by design.
 func (l *Log) Replay(from uint64, fn func(Record) error) error {
 	l.mu.Lock()
-	if l.closed {
+	if err := l.usableLocked(); err != nil {
 		l.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	if err := l.syncLocked(); err != nil {
 		l.mu.Unlock()
@@ -446,8 +485,8 @@ func (l *Log) WriteCheckpoint(lsn uint64, keep int, write func(io.Writer) error)
 	if err := func() error {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		if l.closed {
-			return ErrClosed
+		if err := l.usableLocked(); err != nil {
+			return err
 		}
 		return l.syncLocked()
 	}(); err != nil {
@@ -489,24 +528,19 @@ func LatestCheckpoint(backend Backend) (uint64, bool, error) {
 }
 
 // Close syncs and seals the active segment. Further operations fail with
-// ErrClosed.
+// ErrClosed. Closing a poisoned log skips the sync and returns the poison
+// error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
+	syncErr := l.usableLocked()
+	if syncErr == nil {
+		syncErr = l.syncLocked()
+	}
 	l.closed = true
-	syncErr := func() error {
-		if !l.dirty {
-			return nil
-		}
-		if err := l.cur.Sync(); err != nil {
-			return err
-		}
-		l.dirty = false
-		return nil
-	}()
 	closeErr := l.cur.Close()
 	stop := l.stopSync
 	done := l.syncDone

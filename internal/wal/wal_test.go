@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -279,6 +280,64 @@ func TestClosedLogErrors(t *testing.T) {
 	}
 	if err := l.TruncateBefore(1); err != ErrClosed {
 		t.Fatalf("truncate on closed: %v", err)
+	}
+}
+
+// failingBackend is a Mem whose segment writers fail every Write once armed.
+type failingBackend struct {
+	*Mem
+	fail bool
+}
+
+func (b *failingBackend) CreateSegment(start uint64) (SegmentWriter, error) {
+	w, err := b.Mem.CreateSegment(start)
+	return failingSegment{SegmentWriter: w, b: b}, err
+}
+
+type failingSegment struct {
+	SegmentWriter
+	b *failingBackend
+}
+
+func (s failingSegment) Write(p []byte) (int, error) {
+	if s.b.fail {
+		return 0, errWriteFault
+	}
+	return s.SegmentWriter.Write(p)
+}
+
+var errWriteFault = errors.New("injected write fault")
+
+// TestWriteErrorPoisonsLog: after one failed write the log is fail-stop.
+// Every later Append, Sync, WriteCheckpoint and Close reports the first
+// error wrapped in ErrPoisoned, even once the backend works again.
+func TestWriteErrorPoisonsLog(t *testing.T) {
+	backend := &failingBackend{Mem: NewMem()}
+	l, err := Open(backend, Options{Mode: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	backend.fail = true
+	if _, err := l.Append(1, []byte("lost")); !errors.Is(err, ErrPoisoned) || !errors.Is(err, errWriteFault) {
+		t.Fatalf("failed append = %v, want ErrPoisoned wrapping the write fault", err)
+	}
+	backend.fail = false
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrPoisoned) || !errors.Is(err, errWriteFault) {
+			t.Fatalf("%s on a poisoned log = %v, want ErrPoisoned wrapping the write fault", op, err)
+		}
+	}
+	_, err = l.Append(1, []byte("later"))
+	check("append", err)
+	check("sync", l.Sync())
+	check("checkpoint", l.WriteCheckpoint(1, 1, func(io.Writer) error { return nil }))
+	check("close", l.Close())
+	if got := collect(t, backend, 0); len(got) != 1 {
+		t.Fatalf("log holds %d records, want only the one before the fault", len(got))
 	}
 }
 

@@ -42,13 +42,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server serves the wire protocol over a live.Service — the same Store or
-// ShardedStore the HTTP handlers route to, so both protocols observe one
-// state. Create with NewServer, feed listeners to Serve (one call per
-// listener), stop with Close.
+// Server serves the wire protocol over a live.Store — the same store the
+// HTTP handlers route to, so both protocols observe one state. Create with
+// NewServer, feed listeners to Serve (one call per listener), stop with
+// Close.
 type Server struct {
-	svc  live.Service
-	opts Options
+	store *live.Store
+	opts  Options
 
 	stats serverCounters
 
@@ -80,10 +80,10 @@ type ServerStats struct {
 	Watches      uint64 `json:"watches"`
 }
 
-// NewServer returns a Server over svc.
-func NewServer(svc live.Service, opts Options) *Server {
+// NewServer returns a Server over store.
+func NewServer(store *live.Store, opts Options) *Server {
 	return &Server{
-		svc:   svc,
+		store: store,
 		opts:  opts.withDefaults(),
 		lns:   map[net.Listener]struct{}{},
 		conns: map[*conn]struct{}{},
@@ -91,8 +91,8 @@ func NewServer(svc live.Service, opts Options) *Server {
 }
 
 // Serve is the one-shot form: serve ln until it closes.
-func Serve(ln net.Listener, svc live.Service, opts Options) error {
-	return NewServer(svc, opts).Serve(ln)
+func Serve(ln net.Listener, store *live.Store, opts Options) error {
+	return NewServer(store, opts).Serve(ln)
 }
 
 // Stats returns the wire-level counters.
@@ -398,11 +398,11 @@ func (c *conn) handleRegister(stream uint32, payload []byte) {
 		c.sendError(stream, ErrCodeBadRequest, err.Error())
 		return
 	}
-	if err := c.srv.svc.Register(c.ctx, p.name, q); err != nil {
+	if err := c.srv.store.Register(c.ctx, p.name, q); err != nil {
 		c.sendError(stream, errCode(err), err.Error())
 		return
 	}
-	info, err := c.srv.svc.Info(p.name)
+	info, err := c.srv.store.Info(p.name)
 	if err != nil {
 		c.sendError(stream, ErrCodeInternal, err.Error())
 		return
@@ -417,20 +417,20 @@ func (c *conn) handleSubmit(stream uint32, payload []byte) {
 		c.sendError(stream, ErrCodeBadRequest, err.Error())
 		return
 	}
-	if err := c.srv.svc.Submit(p.delta); err != nil {
+	if err := c.srv.store.Submit(p.delta); err != nil {
 		c.sendError(stream, errCode(err), err.Error())
 		return
 	}
 	if p.sync {
-		if err := c.srv.svc.Flush(c.ctx); err != nil {
+		if err := c.srv.store.Flush(c.ctx); err != nil {
 			c.sendError(stream, errCode(err), err.Error())
 			return
 		}
 	}
 	c.send(Frame{Type: FrameSubmitOK, Stream: stream,
 		Payload: encodeSubmitOK(submitOKPayload{
-			version: c.srv.svc.Version(),
-			pending: uint64(c.srv.svc.PendingTuples()),
+			version: c.srv.store.Version(),
+			pending: uint64(c.srv.store.PendingTuples()),
 		})})
 }
 
@@ -441,7 +441,7 @@ func (c *conn) handleQuery(stream uint32, payload []byte) {
 		return
 	}
 	limit := int(p.limit) // 0 means all, matching Solutions' limit <= 0
-	rows, version, err := c.srv.svc.Solutions(c.ctx, p.name, limit)
+	rows, version, err := c.srv.store.Solutions(c.ctx, p.name, limit)
 	if err != nil {
 		c.sendError(stream, errCode(err), err.Error())
 		return
@@ -455,11 +455,11 @@ func (c *conn) handleQuery(stream uint32, payload []byte) {
 // section).
 type statsDoc struct {
 	Wire  ServerStats `json:"wire"`
-	Store any         `json:"store"`
+	Store live.Stats  `json:"store"`
 }
 
 func (c *conn) handleStats(stream uint32) {
-	doc := statsDoc{Wire: c.srv.Stats(), Store: c.srv.svc.ServiceStats()}
+	doc := statsDoc{Wire: c.srv.Stats(), Store: c.srv.store.Stats()}
 	data, err := json.Marshal(doc)
 	if err != nil {
 		c.sendError(stream, ErrCodeInternal, err.Error())
@@ -483,9 +483,9 @@ func (c *conn) handleWatch(stream uint32, payload []byte) {
 		resumed bool
 	)
 	if p.hasCursor {
-		sub, resumed, err = c.srv.svc.WatchFrom(p.name, p.from)
+		sub, resumed, err = c.srv.store.WatchFrom(p.name, p.from)
 	} else {
-		sub, err = c.srv.svc.Watch(p.name)
+		sub, err = c.srv.store.Watch(p.name)
 	}
 	if err != nil {
 		code := errCode(err)
@@ -500,7 +500,7 @@ func (c *conn) handleWatch(stream uint32, payload []byte) {
 	sub.EnableCredit(p.credit)
 	c.srv.stats.watches.Add(1)
 
-	info, err := c.srv.svc.Info(p.name)
+	info, err := c.srv.store.Info(p.name)
 	if err != nil {
 		sub.Cancel()
 		c.sendError(stream, ErrCodeInternal, err.Error())

@@ -8,11 +8,11 @@
 # printed, and the run fails only when p99 blows past a generous multiple of
 # the baseline — CI machines are noisy, so the gate catches
 # order-of-magnitude regressions (a submit waiting behind flush engine
-# work), not jitter. Four legs run: the single store, the -shards 4 router,
-# a mass-fan-out leg (hundreds of SSE watchers pinned to one hot query,
-# exercising the shared broadcast ring), and a wire-protocol leg (the same
-# schedule over -listen-wire with token auth, credit-gated watch streams
-# instead of SSE), all held to the same gate.
+# work), not jitter. Three legs run: the single store, a mass-fan-out leg
+# (hundreds of SSE watchers pinned to one hot query, exercising the shared
+# broadcast ring), and a wire-protocol leg (the same schedule over
+# -listen-wire with token auth, credit-gated watch streams instead of SSE),
+# all held to the same gate.
 set -euo pipefail
 
 PORT="${PORT:-8346}"
@@ -91,9 +91,6 @@ flush = store.get("flush", {})
 if flush:
     print("[%s] flush: max lock hold %.3fms, last stage %.3fms" % (
         leg, flush["max_lock_hold_ns"] / 1e6, flush["last_stage_ns"] / 1e6))
-for i, shard in enumerate(store.get("shard") or []):
-    print("[%s] shard %d: version %d, %d flushes, %d tuples" % (
-        leg, i, shard["version"], shard["flushes"], shard["flushed_tuples"]))
 if run["submit_notify"]["count"] == 0:
     sys.exit("load_smoke (%s): no submit-to-notification latencies recorded" % leg)
 if got > limit:
@@ -102,7 +99,6 @@ EOF
 }
 
 run_leg single "$OUT"
-run_leg sharded "${OUT%.json}_shards4.json" -shards 4
 LOAD_FLAGS="-watchers 500 -hot-query" run_leg fanout "${OUT%.json}_fanout.json"
 WIRE_LEG=1 run_leg wire "${OUT%.json}_wire.json"
 

@@ -9,9 +9,7 @@
 # ids and no snapshot event — while an out-of-window cursor falls back to a
 # lagged snapshot. A wire-protocol client (d2cqload -probe-watch) then
 # reconnects with the same cursor over -listen-wire and must see the same
-# resume/lagged semantics. The scenario runs twice: against the single store
-# and against the -shards 4 router (per-shard WALs, routes re-derived on
-# recovery).
+# resume/lagged semantics.
 set -euo pipefail
 
 PORT="${PORT:-8344}"
@@ -53,19 +51,6 @@ print(rep)
 " "$1"
 }
 
-# Records replayed at startup: top-level durability section on a single
-# store, summed across the per-shard sections on a sharded one.
-replayed_records() {
-  curl -fsS "$BASE/stats" | python3 -c "
-import json, sys
-rep = json.load(sys.stdin)
-if 'shard' in rep:
-    print(sum(s['durability']['replayed_records'] for s in rep['shard']))
-else:
-    print(rep['durability']['replayed_records'])
-"
-}
-
 go build -o "$BIN" ./cmd/d2cqd
 go build -o "$LOADBIN" ./cmd/d2cqload
 
@@ -105,7 +90,7 @@ run_scenario() {
 
   version="$(stat_field version)"
   [ "$version" = "4" ] || fail "$leg: recovered version $version, want 4"
-  replayed="$(replayed_records)"
+  replayed="$(stat_field durability.replayed_records)"
   [ "$replayed" -gt 0 ] || fail "$leg: recovery replayed no WAL records"
   count="$(stat_field queries)"
   [ "$count" = "1" ] || fail "$leg: recovered $count queries, want 1"
@@ -149,6 +134,5 @@ run_scenario() {
 }
 
 run_scenario single
-run_scenario sharded -shards 4
 
 echo "restart_smoke: OK"
