@@ -238,8 +238,13 @@ func BenchmarkBCQBoundedGHW(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				ok, err := BCQ(q, db)
+				p, err := Prepare(ctx, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ok, err := p.Bool(ctx, db)
 				if err != nil || !ok {
 					b.Fatal("cycle query should be satisfiable")
 				}
@@ -261,9 +266,14 @@ func BenchmarkCountCQ(b *testing.B) {
 			db.Add(rel, fmt.Sprintf("c%d", v%5), fmt.Sprintf("c%d", (v+i)%5))
 		}
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Count(q, db); err != nil {
+		p, err := Prepare(ctx, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Count(ctx, db); err != nil {
 			b.Fatal(err)
 		}
 	}

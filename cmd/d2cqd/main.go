@@ -24,7 +24,10 @@
 // ("100ms") fsyncs on that interval, "off" leaves flushing to the OS.
 //
 // Request bodies of POST /query and POST /update are capped at
-// maxBodyBytes (16 MiB); a larger body is answered with 413.
+// maxBodyBytes (16 MiB); a larger body is answered with 413. A client gets
+// readHeaderTimeout (10s) to send a request's headers and idleTimeout (2m)
+// between requests on a keep-alive connection; a response, /watch streams
+// included, has no deadline.
 //
 // Endpoints:
 //
@@ -165,7 +168,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "d2cqd listening on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: newAuthServer(store, *authToken)}
+	srv := newHTTPServer(newAuthServer(store, *authToken))
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
@@ -216,6 +219,23 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "d2cqd shutting down")
 		return shutdown()
 	}
+}
+
+// The HTTP connection timeouts are fixed, not flags; they are variables only
+// so a test can shorten them. There is deliberately no ReadTimeout or
+// WriteTimeout: either would cut long-lived /watch streams.
+var (
+	// readHeaderTimeout closes a connection that has not sent a whole
+	// request header in time — a slowloris client cannot hold it open.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection with no next request.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // server routes the HTTP API onto one live.Store.

@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -262,6 +265,44 @@ func TestDaemonErrors(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestSlowlorisClosed: a client that sends part of a request line and then
+// stalls is disconnected once the header timeout passes, instead of holding
+// a connection and its goroutine open for as long as it likes.
+func TestSlowlorisClosed(t *testing.T) {
+	defer func(orig time.Duration) { readHeaderTimeout = orig }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+
+	store, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(newServer(store))
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /stats HT"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server kept the stalled connection open for 5s")
 	}
 }
 

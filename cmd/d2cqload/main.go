@@ -18,7 +18,7 @@
 //	d2cqload [-addr 127.0.0.1:8344] [-proto http|wire] [-token T]
 //	         [-queries 8] [-watchers 16] [-zipf 1.3]
 //	         [-hot-query] [-rate 200] [-duration 10s] [-grace 2s]
-//	         [-read-ratio 0] [-out BENCH_pr7.json]
+//	         [-out report.json]
 //
 // -hot-query pins every watcher to q0 instead of spreading them by Zipf: the
 // mass-fan-out shape (one hot query, many subscribers) that exercises the
@@ -26,13 +26,11 @@
 // which q0 is already the hottest query.
 //
 // -proto wire drives the same schedule over the binary wire protocol
-// (internal/wire) instead of HTTP/JSON + SSE: submits become SUBMIT frames,
-// watchers become credit-gated WATCH streams, reads become QUERY frames —
-// one report shape either way, so the two transports compare directly.
-// -token authenticates both protocols. -read-ratio mixes point-in-time
-// /solutions reads into the open loop: each scheduled tick is a read with
-// that probability, a submit otherwise, and the report carries a separate
-// "read" percentile section.
+// (internal/wire) instead of HTTP/JSON + SSE: submits become SUBMIT frames
+// and watchers become credit-gated WATCH streams — one report shape either
+// way, so the two transports compare directly.
+// -token authenticates both protocols. The summary lines always go to
+// stdout; -out also writes the JSON report to that file.
 //
 // The probe mode (-probe-watch query [-probe-from N] [-probe-count K]) skips
 // the load loop entirely: it opens one wire watch stream, prints the
@@ -57,19 +55,18 @@ import (
 )
 
 type config struct {
-	addr      string
-	proto     string
-	token     string
-	queries   int
-	watchers  int
-	hotQuery  bool
-	zipfS     float64
-	rate      float64
-	readRatio float64
-	duration  time.Duration
-	grace     time.Duration
-	out       string
-	seed      int64
+	addr     string
+	proto    string
+	token    string
+	queries  int
+	watchers int
+	hotQuery bool
+	zipfS    float64
+	rate     float64
+	duration time.Duration
+	grace    time.Duration
+	out      string
+	seed     int64
 
 	probeWatch   string
 	probeFrom    int64
@@ -90,7 +87,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8344", "d2cqd address (host:port; with -proto wire, the -listen-wire address)")
 	fs.StringVar(&c.proto, "proto", "http", "transport: http (JSON + SSE) or wire (binary protocol)")
 	fs.StringVar(&c.token, "token", "", "bearer token for -auth-token'd daemons (both protocols)")
-	fs.Float64Var(&c.readRatio, "read-ratio", 0, "probability a scheduled tick is a /solutions read instead of a submit (0..1)")
 	fs.StringVar(&c.probeWatch, "probe-watch", "", "probe mode: open one wire watch on this query, print snapshot + changes, exit")
 	fs.Int64Var(&c.probeFrom, "probe-from", -1, "probe mode: resume cursor (WATCH from=version; -1: fresh watch)")
 	fs.IntVar(&c.probeCount, "probe-count", 0, "probe mode: change notifications to await before exiting")
@@ -102,7 +98,7 @@ func parseFlags(args []string) (config, error) {
 	fs.Float64Var(&c.rate, "rate", 200, "scheduled submits per second (open loop)")
 	fs.DurationVar(&c.duration, "duration", 10*time.Second, "submit phase length")
 	fs.DurationVar(&c.grace, "grace", 2*time.Second, "wait after the last submit for trailing notifications")
-	fs.StringVar(&c.out, "out", "BENCH_pr7.json", "report file (empty: stdout only)")
+	fs.StringVar(&c.out, "out", "", "also write the JSON report to this file (empty: stdout summary only)")
 	fs.Int64Var(&c.seed, "seed", 1, "popularity RNG seed")
 	if err := fs.Parse(args); err != nil {
 		return c, err
@@ -112,9 +108,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if c.proto != "http" && c.proto != "wire" {
 		return c, fmt.Errorf("-proto must be http or wire (got %q)", c.proto)
-	}
-	if c.readRatio < 0 || c.readRatio > 1 {
-		return c, fmt.Errorf("-read-ratio must be in [0, 1] (got %g)", c.readRatio)
 	}
 	if c.probeWatch != "" && c.proto != "wire" {
 		return c, fmt.Errorf("-probe-watch needs -proto wire")
@@ -208,22 +201,18 @@ func (l *latencyRecorder) summarise() percentiles {
 // against.
 type report struct {
 	Config struct {
-		Proto     string  `json:"proto"`
-		Queries   int     `json:"queries"`
-		Watchers  int     `json:"watchers"`
-		HotQuery  bool    `json:"hot_query,omitempty"`
-		Zipf      float64 `json:"zipf"`
-		Rate      float64 `json:"rate_per_s"`
-		ReadRatio float64 `json:"read_ratio,omitempty"`
-		Duration  string  `json:"duration"`
+		Proto    string  `json:"proto"`
+		Queries  int     `json:"queries"`
+		Watchers int     `json:"watchers"`
+		HotQuery bool    `json:"hot_query,omitempty"`
+		Zipf     float64 `json:"zipf"`
+		Rate     float64 `json:"rate_per_s"`
+		Duration string  `json:"duration"`
 	} `json:"config"`
 	Submits      int             `json:"submits"`
 	AckErrors    int             `json:"ack_errors"`
-	Reads        int             `json:"reads,omitempty"`
-	ReadErrors   int             `json:"read_errors,omitempty"`
 	SubmitAck    percentiles     `json:"submit_ack"`
 	SubmitNotify percentiles     `json:"submit_notify"`
-	Read         *percentiles    `json:"read,omitempty"`
 	Store        json.RawMessage `json:"store,omitempty"`
 }
 
@@ -315,7 +304,7 @@ func run(args []string, out io.Writer) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
 	zipf := rand.NewZipf(rng, cfg.zipfS, 1, uint64(cfg.queries-1))
 	var pendingMarks sync.Map // marker (column value) → scheduled send time
-	ack, notifyRec, readRec := &latencyRecorder{}, &latencyRecorder{}, &latencyRecorder{}
+	ack, notifyRec := &latencyRecorder{}, &latencyRecorder{}
 	watched := make(map[int]bool)
 	done := make(chan struct{})
 	var watchersReady sync.WaitGroup
@@ -335,13 +324,12 @@ func run(args []string, out io.Writer) error {
 	// latency clock still starts at the scheduled instant.
 	interval := time.Duration(float64(time.Second) / cfg.rate)
 	var (
-		inflight   sync.WaitGroup
-		errMu      sync.Mutex
-		ackErrors  int
-		readErrors int
+		inflight  sync.WaitGroup
+		errMu     sync.Mutex
+		ackErrors int
 	)
 	start := time.Now()
-	submits, reads := 0, 0
+	submits := 0
 	for k := 0; ; k++ {
 		sched := start.Add(time.Duration(k) * interval)
 		if sched.Sub(start) >= cfg.duration {
@@ -351,24 +339,6 @@ func run(args []string, out io.Writer) error {
 			time.Sleep(d)
 		}
 		qi := int(zipf.Uint64())
-		// A scheduled tick is a point-in-time read with -read-ratio
-		// probability — mixed into the same open loop, so read latency is
-		// priced under the full submit load, not in isolation.
-		if cfg.readRatio > 0 && rng.Float64() < cfg.readRatio {
-			reads++
-			inflight.Add(1)
-			go func(qi int, sched time.Time) {
-				defer inflight.Done()
-				if err := be.read(queryName(qi), 16); err != nil {
-					errMu.Lock()
-					readErrors++
-					errMu.Unlock()
-					return
-				}
-				readRec.add(time.Since(sched))
-			}(qi, sched)
-			continue
-		}
 		submits++
 		inflight.Add(1)
 		go func(k, qi int, sched time.Time) {
@@ -401,18 +371,11 @@ func run(args []string, out io.Writer) error {
 	rep.Config.HotQuery = cfg.hotQuery
 	rep.Config.Zipf = cfg.zipfS
 	rep.Config.Rate = cfg.rate
-	rep.Config.ReadRatio = cfg.readRatio
 	rep.Config.Duration = cfg.duration.String()
 	rep.Submits = submits
 	rep.AckErrors = ackErrors
-	rep.Reads = reads
-	rep.ReadErrors = readErrors
 	rep.SubmitAck = ack.summarise()
 	rep.SubmitNotify = notifyRec.summarise()
-	if reads > 0 {
-		p := readRec.summarise()
-		rep.Read = &p
-	}
 	if raw, err := be.stats(); err == nil {
 		rep.Store = raw
 	}
@@ -427,21 +390,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(out, "proto=%s submits=%d ack_errors=%d reads=%d read_errors=%d\n",
-		cfg.proto, rep.Submits, rep.AckErrors, rep.Reads, rep.ReadErrors)
+	fmt.Fprintf(out, "proto=%s submits=%d ack_errors=%d\n", cfg.proto, rep.Submits, rep.AckErrors)
 	fmt.Fprintf(out, "submit-ack     p50=%.2fms p99=%.2fms p999=%.2fms max=%.2fms (n=%d)\n",
 		rep.SubmitAck.P50, rep.SubmitAck.P99, rep.SubmitAck.P999, rep.SubmitAck.Max, rep.SubmitAck.Count)
 	fmt.Fprintf(out, "submit-notify  p50=%.2fms p99=%.2fms p999=%.2fms max=%.2fms (n=%d)\n",
 		rep.SubmitNotify.P50, rep.SubmitNotify.P99, rep.SubmitNotify.P999, rep.SubmitNotify.Max, rep.SubmitNotify.Count)
-	if rep.Read != nil {
-		fmt.Fprintf(out, "read           p50=%.2fms p99=%.2fms p999=%.2fms max=%.2fms (n=%d)\n",
-			rep.Read.P50, rep.Read.P99, rep.Read.P999, rep.Read.Max, rep.Read.Count)
-	}
 	if rep.AckErrors > 0 {
 		return fmt.Errorf("%d submits failed", rep.AckErrors)
-	}
-	if rep.ReadErrors > 0 {
-		return fmt.Errorf("%d reads failed", rep.ReadErrors)
 	}
 	return nil
 }

@@ -21,8 +21,6 @@ type backend interface {
 	// submit ships the one linked pair (marker, mid) / (mid, z) into query
 	// qi's relations — exactly one new solution, matching the HTTP leg.
 	submit(qi int, marker, mid, z string) error
-	// read is the point-in-time solutions read mixed in by -read-ratio.
-	read(name string, limit int) error
 	// watch consumes the query's notification stream, resolving markers
 	// against pendingMarks into the notify recorder; ready.Done() once
 	// subscribed, return when done closes.
@@ -50,24 +48,6 @@ func (b *httpBackend) submit(qi int, marker, mid, z string) error {
 		fmt.Sprintf("S%d", qi): {{mid, z}},
 	}}
 	return b.cl.postJSON("/update", body, nil)
-}
-
-func (b *httpBackend) read(name string, limit int) error {
-	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/solutions?query=%s&limit=%d", b.cl.base, name, limit), nil)
-	if err != nil {
-		return err
-	}
-	b.cl.authorize(req)
-	resp, err := b.cl.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/solutions: %s", resp.Status)
-	}
-	return nil
 }
 
 func (b *httpBackend) watch(name string, pendingMarks *sync.Map, notify *latencyRecorder, done <-chan struct{}, ready *sync.WaitGroup) {
@@ -118,11 +98,6 @@ func (b *wireBackend) submit(qi int, marker, mid, z string) error {
 		Add(fmt.Sprintf("R%d", qi), marker, mid).
 		Add(fmt.Sprintf("S%d", qi), mid, z)
 	_, _, err := b.c.Submit(context.Background(), delta, false)
-	return err
-}
-
-func (b *wireBackend) read(name string, limit int) error {
-	_, _, err := b.c.Solutions(context.Background(), name, limit)
 	return err
 }
 

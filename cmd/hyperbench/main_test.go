@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRunSmallCorpus(t *testing.T) {
@@ -67,181 +66,5 @@ func TestRunEvalCorpus(t *testing.T) {
 	s := out.String()
 	if !strings.Contains(s, "canonical BCQ evaluation") || !strings.Contains(s, "engine: prepares=") {
 		t.Errorf("missing evaluation report:\n%s", s)
-	}
-}
-
-func TestRunParallelSweep(t *testing.T) {
-	// Shrink the sweep databases: at the production 512 tuples/edge this
-	// test alone would take ~a minute under -race, which is exactly the
-	// fast-loop regression the -short split of the corpus tests exists to
-	// prevent. The flag plumbing and report shape are what's under test.
-	defer func(orig int) { parallelTuplesPerEdge = orig }(parallelTuplesPerEdge)
-	parallelTuplesPerEdge = 48
-
-	var out strings.Builder
-	if err := run([]string{"-per", "2", "-maxk", "3", "-parallel", "1,2", "-json"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	pr := rep.Parallel
-	if pr == nil {
-		t.Fatal("parallel report missing")
-	}
-	if pr.Entries == 0 || pr.Answers == 0 {
-		t.Errorf("sweep sampled nothing: %+v", pr)
-	}
-	if pr.NumCPU < 1 || pr.GOMAXPROCS < 1 {
-		t.Errorf("hardware context missing: %+v", pr)
-	}
-	if len(pr.Sweep) != 2 || pr.Sweep[0].Parallelism != 1 || pr.Sweep[1].Parallelism != 2 {
-		t.Fatalf("sweep levels wrong: %+v", pr.Sweep)
-	}
-	for _, lvl := range pr.Sweep {
-		if lvl.EnumerateAllMS <= 0 {
-			t.Errorf("parallelism %d: no enumeration timing", lvl.Parallelism)
-		}
-	}
-	// The sequential level carries 1.0 speedups by definition.
-	if s := pr.Sweep[0].EnumerateSpeedup; s < 0.99 || s > 1.01 {
-		t.Errorf("base enumerate speedup = %v, want 1.0", s)
-	}
-
-	// Human mode prints the sweep table; a bad level list errors.
-	out.Reset()
-	if err := run([]string{"-per", "1", "-maxk", "3", "-parallel", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "WithParallelism sweep") {
-		t.Errorf("missing sweep table:\n%s", out.String())
-	}
-	if err := run([]string{"-per", "1", "-parallel", "0,x"}, &out); err == nil {
-		t.Error("bad -parallel levels should error")
-	}
-}
-
-func TestRunUpdatesBench(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-per", "1", "-maxk", "3", "-updates", "4", "-json"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	up := rep.Updates
-	if up == nil {
-		t.Fatal("updates report missing")
-	}
-	if up.Entries == 0 || up.Rounds != up.Entries*4 {
-		t.Errorf("rounds = %d for %d entries, want %d", up.Rounds, up.Entries, up.Entries*4)
-	}
-	if up.Checked == 0 {
-		t.Error("no differential spot checks ran")
-	}
-	if up.IncrementalMS <= 0 || up.RecompileMS <= 0 || up.Speedup <= 0 {
-		t.Errorf("timings incomplete: %+v", up)
-	}
-
-	// Human mode prints the summary line.
-	out.Reset()
-	if err := run([]string{"-per", "1", "-maxk", "3", "-updates", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "incremental updates") || !strings.Contains(out.String(), "speedup") {
-		t.Errorf("missing updates summary:\n%s", out.String())
-	}
-}
-
-func TestRunLatencySweep(t *testing.T) {
-	// Shrink the paced stream: the production pace (96 deltas × 300µs per
-	// entry per level) is a real-time benchmark, not a test budget.
-	defer func(rounds int, pace time.Duration) {
-		latencyRounds, latencyPace = rounds, pace
-	}(latencyRounds, latencyPace)
-	latencyRounds, latencyPace = 24, 50*time.Microsecond
-
-	var out strings.Builder
-	if err := run([]string{"-per", "1", "-maxk", "3", "-latency", "1ms,20ms", "-json"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	lr := rep.Latency
-	if lr == nil {
-		t.Fatal("latency report missing")
-	}
-	if lr.Entries == 0 || lr.Rounds != lr.Entries*24 || lr.PaceUS != 50 {
-		t.Errorf("stream shape wrong: %+v", lr)
-	}
-	if len(lr.Sweep) != 2 {
-		t.Fatalf("sweep levels = %+v, want 2", lr.Sweep)
-	}
-	for _, lvl := range lr.Sweep {
-		if lvl.Flushes == 0 || lvl.Rebinds == 0 || lvl.EffectiveBatch <= 0 {
-			t.Errorf("max-latency %vms: empty counters %+v", lvl.MaxLatencyMS, lvl)
-		}
-		if lvl.Checked != lr.Entries {
-			t.Errorf("max-latency %vms: cross-checked %d of %d entries", lvl.MaxLatencyMS, lvl.Checked, lr.Entries)
-		}
-	}
-	// A longer deadline must not flush more often than a shorter one over
-	// the same paced stream.
-	if lr.Sweep[1].Flushes > lr.Sweep[0].Flushes {
-		t.Errorf("20ms deadline flushed %d times, 1ms %d — longer deadline should coalesce more",
-			lr.Sweep[1].Flushes, lr.Sweep[0].Flushes)
-	}
-
-	// Human mode prints the sweep; a bad level list errors.
-	out.Reset()
-	if err := run([]string{"-per", "1", "-maxk", "3", "-latency", "5ms"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "MaxLatency sweep") || !strings.Contains(out.String(), "tuples/flush") {
-		t.Errorf("missing latency sweep:\n%s", out.String())
-	}
-	if err := run([]string{"-per", "1", "-latency", "0s,zzz"}, &out); err == nil {
-		t.Error("bad -latency levels should error")
-	}
-}
-
-func TestRunCoalesceBench(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-per", "1", "-maxk", "3", "-updates", "16", "-coalesce", "4", "-json"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	cr := rep.Coalesce
-	if cr == nil {
-		t.Fatal("coalesce report missing")
-	}
-	if cr.Entries == 0 || cr.Rounds != cr.Entries*16 || cr.Batch != 4 {
-		t.Errorf("stream shape wrong: %+v", cr)
-	}
-	if cr.Checked != cr.Entries {
-		t.Errorf("cross-checked %d of %d entries", cr.Checked, cr.Entries)
-	}
-	// The whole point: one Rebind per batch instead of per delta.
-	if cr.PerDeltaRebinds != uint64(cr.Rounds) {
-		t.Errorf("per-delta rebinds = %d, want %d", cr.PerDeltaRebinds, cr.Rounds)
-	}
-	if cr.CoalescedRebinds != uint64(cr.Rounds/4) {
-		t.Errorf("coalesced rebinds = %d, want %d", cr.CoalescedRebinds, cr.Rounds/4)
-	}
-
-	// Human mode prints the summary line.
-	out.Reset()
-	if err := run([]string{"-per", "1", "-maxk", "3", "-coalesce", "8"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "coalesced ingestion") || !strings.Contains(out.String(), "rebinds") {
-		t.Errorf("missing coalesce summary:\n%s", out.String())
 	}
 }

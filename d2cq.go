@@ -263,8 +263,7 @@ func CompileDB(ctx context.Context, db Database) (*CompiledDB, error) {
 	return engine.Default().CompileDB(ctx, db)
 }
 
-// DefaultEngine returns the shared engine behind the deprecated free
-// evaluation functions (BCQ, Count, Explain, CountProjection).
+// DefaultEngine returns the shared engine behind Prepare and CompileDB.
 func DefaultEngine() *Engine { return engine.Default() }
 
 // Prepare compiles q once with the shared default engine. For custom policy
@@ -273,21 +272,6 @@ func DefaultEngine() *Engine { return engine.Default() }
 func Prepare(ctx context.Context, q Query) (*PreparedQuery, error) {
 	return engine.Default().Prepare(ctx, q)
 }
-
-// EvalOptions selects a decomposition for evaluation.
-type EvalOptions = engine.EvalOptions
-
-// BCQ decides q(D) ≠ ∅ with the decomposition engine (Proposition 2.2).
-//
-// Deprecated: for repeated evaluation, Prepare the query once and call
-// PreparedQuery.Bool.
-func BCQ(q Query, db Database) (bool, error) { return engine.BCQ(q, db, nil) }
-
-// Count computes |q(D)| for a full CQ (Proposition 4.14).
-//
-// Deprecated: for repeated evaluation, Prepare the query once and call
-// PreparedQuery.Count.
-func Count(q Query, db Database) (int64, error) { return engine.Count(q, db, nil) }
 
 // NaiveBCQ is the decomposition-free backtracking baseline.
 func NaiveBCQ(q Query, db Database) (bool, error) { return engine.NaiveBCQ(q, db) }
@@ -411,22 +395,6 @@ type CorpusOptions = hyperbench.Options
 func GenerateCorpus(opts CorpusOptions) (*Corpus, error) { return hyperbench.Generate(opts) }
 
 // --- additional conveniences -----------------------------------------------------
-
-// Explain renders the evaluation plan (decomposition tree, covers, relation
-// sizes) for a query over a database.
-//
-// Deprecated: Prepare the query once and call PreparedQuery.Explain (plan
-// only) or PreparedQuery.ExplainDB (with relation sizes).
-func Explain(q Query, db Database) (string, error) { return engine.Explain(q, db, nil) }
-
-// CountProjection counts distinct projections of the solutions onto the
-// given free variables (the existentially-quantified counting problem of
-// §4.4; exponential in general — see Pichler & Skritek).
-//
-// Deprecated: Prepare the query once and call PreparedQuery.CountProjection.
-func CountProjection(q Query, db Database, free []string) (int64, error) {
-	return engine.CountProjection(q, db, free, nil)
-}
 
 // GHWByComponent computes ghw per connected component and aggregates.
 func GHWByComponent(h *Hypergraph, opts *GHWOptions) (GHWResult, []GHWResult, error) {

@@ -19,14 +19,19 @@ Lives(bob, paris)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := BCQ(q, db)
+	ctx := context.Background()
+	p, err := Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := p.Bool(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("expected a match")
 	}
-	n, err := Count(q, db)
+	n, err := p.Count(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,6 +150,13 @@ func NewEngine(opts ...Option) *Engine {
 	return e
 }
 
+// defaultEngine is the process-wide engine, shared so that ad-hoc callers
+// still benefit from one decomposition cache.
+var defaultEngine = NewEngine()
+
+// Default returns the process-wide shared engine.
+func Default() *Engine { return defaultEngine }
+
 // Stats is a snapshot of engine traffic: how many queries were prepared,
 // how many decompositions were actually computed (cache misses do the work;
 // hits reuse it), how many databases were compiled and bound, and the cache

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,6 +17,16 @@ func q(t *testing.T, s string) cq.Query {
 		t.Fatal(err)
 	}
 	return query
+}
+
+// prepare compiles query with the default engine, failing the test on error.
+func prepare(t *testing.T, query cq.Query) *PreparedQuery {
+	t.Helper()
+	p, err := Default().Prepare(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestDict(t *testing.T) {
@@ -92,8 +103,9 @@ func TestBCQAcyclicPathQuery(t *testing.T) {
 	db := cq.Database{}
 	db.Add("R", "1", "2")
 	db.Add("S", "2", "3")
-	query := q(t, "R(x,y), S(y,z)")
-	got, err := BCQ(query, db, nil)
+	ctx := context.Background()
+	p := prepare(t, q(t, "R(x,y), S(y,z)"))
+	got, err := p.Bool(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +116,7 @@ func TestBCQAcyclicPathQuery(t *testing.T) {
 	db2 := cq.Database{}
 	db2.Add("R", "1", "2")
 	db2.Add("S", "9", "3")
-	got, err = BCQ(query, db2, nil)
+	got, err = p.Bool(ctx, db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +127,15 @@ func TestBCQAcyclicPathQuery(t *testing.T) {
 
 func TestBCQTriangle(t *testing.T) {
 	// Triangle query over a graph with/without a triangle.
-	query := q(t, "E1(x,y), E2(y,z), E3(z,x)")
+	ctx := context.Background()
+	p := prepare(t, q(t, "E1(x,y), E2(y,z), E3(z,x)"))
 	with := cq.Database{}
 	for _, e := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "a"}, {"c", "d"}} {
 		with.Add("E1", e[0], e[1])
 		with.Add("E2", e[0], e[1])
 		with.Add("E3", e[0], e[1])
 	}
-	got, err := BCQ(query, with, nil)
+	got, err := p.Bool(ctx, with)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +148,7 @@ func TestBCQTriangle(t *testing.T) {
 		without.Add("E2", e[0], e[1])
 		without.Add("E3", e[0], e[1])
 	}
-	got, err = BCQ(query, without, nil)
+	got, err = p.Bool(ctx, without)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +166,7 @@ func TestCountMatchesNaive(t *testing.T) {
 	db.Add("S", "2", "5")
 	db.Add("S", "3", "4")
 	query := q(t, "R(x,y), S(y,z)")
-	ghd, err := Count(query, db, nil)
+	ghd, err := prepare(t, query).Count(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +205,16 @@ func TestSelfJoinQuery(t *testing.T) {
 	db := cq.Database{}
 	db.Add("E", "a", "b")
 	db.Add("E", "b", "c")
-	query := q(t, "E(x,y), E(y,z)")
-	got, err := BCQ(query, db, nil)
+	ctx := context.Background()
+	p := prepare(t, q(t, "E(x,y), E(y,z)"))
+	got, err := p.Bool(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got {
 		t.Error("self-join path should be satisfiable")
 	}
-	n, err := Count(query, db, nil)
+	n, err := p.Count(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +252,7 @@ func randomInstance(r *rand.Rand) (cq.Query, cq.Database) {
 }
 
 func TestGHDEngineMatchesNaiveRandomized(t *testing.T) {
+	ctx := context.Background()
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
 		query, db := randomInstance(r)
@@ -245,7 +260,11 @@ func TestGHDEngineMatchesNaiveRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := BCQ(query, db, nil)
+		p, err := Default().Prepare(ctx, query)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got, err := p.Bool(ctx, db)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -256,7 +275,7 @@ func TestGHDEngineMatchesNaiveRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotN, err := Count(query, db, nil)
+		gotN, err := p.Count(ctx, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +295,11 @@ func TestExplicitDecompositionOption(t *testing.T) {
 	db.Add("E1", "a", "b")
 	db.Add("E2", "b", "c")
 	db.Add("E3", "c", "a")
-	got, err := BCQ(query, db, &EvalOptions{Decomp: d})
+	plan, err := NewPlan(query, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := (&PreparedQuery{eng: Default(), plan: plan}).Bool(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,17 +309,18 @@ func TestExplicitDecompositionOption(t *testing.T) {
 }
 
 func TestEmptyRelationMeansUnsat(t *testing.T) {
-	query := q(t, "R(x,y), S(y,z)")
+	ctx := context.Background()
+	p := prepare(t, q(t, "R(x,y), S(y,z)"))
 	db := cq.Database{}
 	db.Add("R", "1", "2") // S empty
-	got, err := BCQ(query, db, nil)
+	got, err := p.Bool(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got {
 		t.Error("query with empty relation should be unsatisfiable")
 	}
-	n, err := Count(query, db, nil)
+	n, err := p.Count(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}

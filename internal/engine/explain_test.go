@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestExplainOutput(t *testing.T) {
 	db := cq.Database{}
 	db.Add("R", "1", "2")
 	db.Add("S", "2", "3")
-	out, err := Explain(q, db, nil)
+	out, err := prepare(t, q).ExplainDB(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestExplainGroundQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Explain(q, cq.Database{}, nil)
+	out, err := prepare(t, q).ExplainDB(context.Background(), cq.Database{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,9 @@ func TestCountProjection(t *testing.T) {
 	db.Add("R", "1", "2")
 	db.Add("S", "2", "3")
 	db.Add("S", "2", "4") // two witnesses, one projection
-	n, err := CountProjection(q, db, []string{"x", "y"}, nil)
+	ctx := context.Background()
+	p := prepare(t, q)
+	n, err := p.CountProjection(ctx, db, []string{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestCountProjection(t *testing.T) {
 		t.Errorf("projection count = %d, want 1", n)
 	}
 	// Full count distinguishes the witnesses (the §4.4 contrast).
-	full, err := Count(q, db, nil)
+	full, err := p.Count(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestCountProjection(t *testing.T) {
 		t.Errorf("full count = %d, want 2", full)
 	}
 	// Unknown free variable rejected.
-	if _, err := CountProjection(q, db, []string{"nope"}, nil); err == nil {
+	if _, err := p.CountProjection(ctx, db, []string{"nope"}); err == nil {
 		t.Error("expected unknown-variable error")
 	}
 }

@@ -7,6 +7,7 @@
 package reduction
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -155,12 +156,23 @@ func (in Instance) Solutions() (*engine.Relation, *engine.Dict, error) {
 	return engine.NaiveEnumerate(in.Q, in.D)
 }
 
-// BCQ decides the instance with the decomposition engine.
+// BCQ decides the instance with the default decomposition engine.
 func (in Instance) BCQ() (bool, error) {
-	return engine.BCQ(in.Q, in.D, nil)
+	ctx := context.Background()
+	p, err := engine.Default().Prepare(ctx, in.Q)
+	if err != nil {
+		return false, err
+	}
+	return p.Bool(ctx, in.D)
 }
 
-// Count counts the instance's solutions with the decomposition engine.
+// Count counts the instance's solutions with the default decomposition
+// engine.
 func (in Instance) Count() (int64, error) {
-	return engine.Count(in.Q, in.D, nil)
+	ctx := context.Background()
+	p, err := engine.Default().Prepare(ctx, in.Q)
+	if err != nil {
+		return 0, err
+	}
+	return p.Count(ctx, in.D)
 }
